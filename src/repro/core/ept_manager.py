@@ -35,12 +35,10 @@ class EptManager:
     def build_identity(self, regions: list[MemoryRegion]) -> int:
         """Initial-population at enclave init: identity map every
         assigned region with full access.  Returns entries created."""
-        total = 0
-        for region in regions:
-            total += len(self.map_region(region))
-        return total
+        return sum(self.map_region(region) for region in regions)
 
-    def map_region(self, region: MemoryRegion) -> list:
+    def map_region(self, region: MemoryRegion) -> int:
+        """Identity-map one region; returns entries created."""
         entries = self.table.map_region(
             region.start,
             region.size,
@@ -49,7 +47,7 @@ class EptManager:
             coalesce=self.coalesce,
         )
         self.stats.maps += 1
-        self.stats.entries_written += len(entries)
+        self.stats.entries_written += entries
         return entries
 
     def unmap_region(self, region: MemoryRegion) -> int:

@@ -21,6 +21,7 @@ from repro.hw.ioports import HOST_OWNED_PORTS
 from repro.hw.msr import SENSITIVE_MSRS
 from repro.pisces.enclave import EnclaveState
 from repro.pisces.resources import enclave_owner
+from repro.vmx.ept import EptInvariantError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.env import CovirtEnvironment
@@ -167,7 +168,10 @@ class OraclePack:
         for eid, ctx in self._live_contexts():
             if ctx.ept is None:
                 continue
-            ctx.ept.table.check_invariants()
+            try:
+                ctx.ept.table.check_invariants()
+            except EptInvariantError as exc:
+                self._fail("ept-coverage", str(exc))
             attached = sum(
                 seg.size
                 for seg in env.mcp.xemem.names.segments_attached_by(eid)

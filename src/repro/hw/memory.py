@@ -10,6 +10,10 @@ The machine's DRAM is modelled two ways at once:
   when something actually reads or writes it.  A 64 GiB machine therefore
   costs nothing until touched.
 
+It also holds the leaf arithmetic both translation layers share
+(:class:`LeafExtents`): page tables and EPTs are stored as a few sorted
+extents whose 4K/2M/1G leaves are computed, never materialised.
+
 Addresses and sizes are plain integers in bytes.
 """
 
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Hashable, Iterator
+from typing import Any, Hashable, Iterator
 
 import numpy as np
 
@@ -25,6 +29,9 @@ PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT  # 4 KiB
 PAGE_SIZE_2M = 1 << 21
 PAGE_SIZE_1G = 1 << 30
+
+#: Leaf page sizes, largest first: the order greedy coalescing tries them.
+PAGE_SIZES_DESC = (PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE)
 
 #: Owner label for unassigned memory.
 FREE = "free"
@@ -109,8 +116,8 @@ class IntervalMap:
 
     Maintains the invariants that intervals never overlap, are sorted,
     and adjacent intervals with equal values are coalesced.  This is the
-    data structure behind both physical-memory ownership and (via the
-    EPT) Covirt's view of an enclave's mappable address space.
+    data structure behind physical-memory ownership.  (Translation
+    extents cannot use it: coalescing would change their leaves.)
     """
 
     def __init__(self, start: int, end: int, initial: Hashable) -> None:
@@ -198,6 +205,196 @@ class IntervalMap:
             if i:
                 assert self._ends[i - 1] == self._starts[i], "gap/overlap"
                 assert self._values[i - 1] != self._values[i], "uncoalesced"
+
+
+# -- translation extents -----------------------------------------------------
+#
+# Both translation layers (a guest's four-level page tables and an
+# enclave's EPT) map memory as a handful of contiguous ranges, so both
+# store extents rather than one object per leaf.  An extent's leaves are
+# *defined* as the greedy decomposition a page-table builder makes: at
+# each address, the largest aligned block (up to the extent's cap) that
+# fits.  Three rules follow:
+#
+# * leaf counts, leaf sizes and walk depths are arithmetic on an
+#   extent's bounds, so no per-leaf state exists;
+# * cutting an extent at a page boundary leaves exactly the leaves that
+#   splintering the straddling huge leaf would;
+# * extents from different map calls are never merged, because the
+#   greedy decomposition of a union differs from the union of the two.
+
+
+def leaf_cap(delta: int, max_page: int = PAGE_SIZE_1G) -> int:
+    """Largest leaf size, at most ``max_page``, at which an address and
+    that address plus ``delta`` (a page multiple) are both aligned."""
+    for size in PAGE_SIZES_DESC:
+        if size <= max_page and delta % size == 0:
+            return size
+    raise ValueError(f"no leaf size fits under {max_page:#x}")
+
+
+def leaf_size(addr: int, start: int, end: int, cap: int) -> int:
+    """Size of the leaf holding ``addr`` in extent [start, end): the
+    largest aligned block of at most ``cap`` bytes that contains
+    ``addr`` and lies inside the extent."""
+    for size in PAGE_SIZES_DESC[:-1]:
+        if size <= cap:
+            base = addr & -size
+            if base >= start and base + size <= end:
+                return size
+    return PAGE_SIZE
+
+
+def leaf_counts(start: int, end: int, cap: int) -> dict[int, int]:
+    """Leaves per page size in extent [start, end), keyed 4K, 2M, 1G.
+
+    The aligned blocks of one size that fit inside the extent form one
+    span, and each of its bytes lies in a leaf at least that large; so a
+    size's count is its span less the next larger size's span.
+    """
+    counts = {PAGE_SIZE: 0, PAGE_SIZE_2M: 0, PAGE_SIZE_1G: 0}
+    larger = 0
+    for size in PAGE_SIZES_DESC:
+        if size <= cap:
+            span = max(0, (end & -size) - ((start + size - 1) & -size))
+            counts[size] = (span - larger) // size
+            larger = span
+    return counts
+
+
+class LeafExtents:
+    """Sorted, disjoint translation extents with computed leaves.
+
+    Extent ``i`` translates ``[starts[i], ends[i])`` to the same range
+    shifted by ``deltas[i]``, with attribute ``attrs[i]`` (a write bit,
+    a permission set), in leaves of at most ``caps[i]`` bytes.  The
+    parallel lists are ordered by start and searched with :mod:`bisect`.
+    :meth:`insert` does not check for overlap: callers check first.
+    """
+
+    def __init__(self) -> None:
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+        self.deltas: list[int] = []
+        self.caps: list[int] = []
+        self.attrs: list[Any] = []
+        #: Leaves per page size over every extent, kept in step.
+        self.counts: dict[int, int] = {PAGE_SIZE: 0, PAGE_SIZE_2M: 0, PAGE_SIZE_1G: 0}
+
+    @property
+    def mapped_bytes(self) -> int:
+        return sum(size * n for size, n in self.counts.items())
+
+    def _tally(self, start: int, end: int, cap: int, sign: int) -> int:
+        counts = leaf_counts(start, end, cap)
+        for size, n in counts.items():
+            self.counts[size] += sign * n
+        return sum(counts.values())
+
+    # -- lookup ------------------------------------------------------------
+
+    def find(self, addr: int) -> int:
+        """Index of the extent holding ``addr``, or -1."""
+        i = bisect.bisect_right(self.starts, addr) - 1
+        return i if i >= 0 and addr < self.ends[i] else -1
+
+    def leaf(self, addr: int) -> tuple[int, int, int, Any] | None:
+        """``(base, size, delta, attr)`` of the leaf holding ``addr``."""
+        i = self.find(addr)
+        if i < 0:
+            return None
+        size = leaf_size(addr, self.starts[i], self.ends[i], self.caps[i])
+        return addr & -size, size, self.deltas[i], self.attrs[i]
+
+    def first_mapped(self, start: int, end: int) -> int:
+        """Lowest address in [start, end) some extent maps, else ``end``."""
+        i = bisect.bisect_right(self.starts, start) - 1
+        if i >= 0 and start < self.ends[i]:
+            return start
+        if i + 1 < len(self.starts) and self.starts[i + 1] < end:
+            return self.starts[i + 1]
+        return end
+
+    def first_hole(self, start: int, end: int) -> int:
+        """Lowest address in [start, end) no extent maps, else ``end``."""
+        i = self.find(start)
+        if i < 0:
+            return start
+        addr = self.ends[i]
+        for i in range(i + 1, len(self.starts)):
+            if addr >= end or self.starts[i] != addr:
+                break
+            addr = self.ends[i]
+        return min(addr, end)
+
+    def mapped_in(self, start: int, end: int) -> int:
+        """Bytes of [start, end) that some extent maps."""
+        i = max(bisect.bisect_right(self.starts, start) - 1, 0)
+        total = 0
+        while i < len(self.starts) and self.starts[i] < end:
+            total += max(0, min(self.ends[i], end) - max(self.starts[i], start))
+            i += 1
+        return total
+
+    def leaves(self) -> Iterator[tuple[int, int, int, Any]]:
+        """Every leaf as ``(base, size, delta, attr)``, in address order."""
+        for start, end, delta, cap, attr in zip(
+            self.starts, self.ends, self.deltas, self.caps, self.attrs
+        ):
+            addr = start
+            while addr < end:
+                size = leaf_size(addr, start, end, cap)
+                yield addr, size, delta, attr
+                addr += size
+
+    # -- update ------------------------------------------------------------
+
+    def insert(self, start: int, end: int, delta: int, cap: int, attr: Any) -> int:
+        """Add extent [start, end); returns its leaf count."""
+        i = bisect.bisect_left(self.starts, start)
+        self.starts.insert(i, start)
+        self.ends.insert(i, end)
+        self.deltas.insert(i, delta)
+        self.caps.insert(i, cap)
+        self.attrs.insert(i, attr)
+        return self._tally(start, end, cap, 1)
+
+    def cut(self, addr: int) -> None:
+        """Split the extent straddling page boundary ``addr`` in two."""
+        i = self.find(addr)
+        if i < 0 or self.starts[i] == addr:
+            return
+        start, end, cap = self.starts[i], self.ends[i], self.caps[i]
+        self._tally(start, end, cap, -1)
+        self.ends[i] = addr
+        self._tally(start, addr, cap, 1)
+        self.insert(addr, end, self.deltas[i], cap, self.attrs[i])
+
+    def remove(self, start: int, end: int) -> int:
+        """Unmap [start, end), cutting extents that straddle its bounds;
+        returns the leaves removed."""
+        self.cut(start)
+        self.cut(end)
+        lo = bisect.bisect_left(self.starts, start)
+        hi = bisect.bisect_left(self.starts, end)
+        removed = sum(
+            self._tally(self.starts[i], self.ends[i], self.caps[i], -1)
+            for i in range(lo, hi)
+        )
+        for column in (self.starts, self.ends, self.deltas, self.caps, self.attrs):
+            del column[lo:hi]
+        return removed
+
+    def fault(self) -> str | None:
+        """The first broken structural invariant, described, or None."""
+        prev_end = None
+        for start, end in zip(self.starts, self.ends):
+            if start >= end or not (is_page_aligned(start) and is_page_aligned(end)):
+                return f"malformed extent [{start:#x},{end:#x})"
+            if prev_end is not None and prev_end > start:
+                return f"mappings overlap at {start:#x}"
+            prev_end = end
+        return None
 
 
 class PhysicalMemory:

@@ -1,11 +1,14 @@
-"""x86-64 four-level guest page tables.
+"""x86-64 four-level guest page tables, stored as extents.
 
-Kitten maps its world identity-style, but it still builds real page
-tables: PML4 → PDPT → PD → PT, with 1 GiB and 2 MiB huge-page entries
-where alignment allows (LWKs lean hard on huge pages).  The walker
-reports how many levels it touched, which is what makes guest-side
-translation costs and the "identity mappings make nested paging cheap"
-story concrete.
+Kitten maps its world identity-style, and its page tables are what a
+real builder makes of that: PML4 → PDPT → PD → PT, with 1 GiB and 2 MiB
+huge-page leaves wherever alignment allows (LWKs lean hard on huge
+pages).  Because each ``map`` call covers one contiguous range, the
+table is kept as one extent per call (:class:`repro.hw.memory.LeafExtents`)
+and its leaves are computed: the greedy 1G → 2M → 4K decomposition of the
+extent.  Leaf counts, the leaf a walk ends at and how many levels it
+touched are arithmetic, which is what makes guest-side translation costs
+and the "identity mappings make nested paging cheap" story concrete.
 
 This is the *guest's own* translation structure — the layer above the
 EPT.  A correct Kitten's page tables cover exactly its memory map; the
@@ -14,51 +17,24 @@ fault-injection knobs desynchronise the two layers the way real bugs do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 from repro.hw.memory import (
     PAGE_SIZE,
     PAGE_SIZE_1G,
     PAGE_SIZE_2M,
+    LeafExtents,
     is_page_aligned,
+    leaf_cap,
+    leaf_size,
 )
 
-#: Bits of virtual address translated per level.
-_LEVEL_SHIFTS = (39, 30, 21, 12)  # PML4, PDPT, PD, PT
-_INDEX_MASK = 0x1FF
+#: Levels a walk touches to reach a leaf of each size (PML4 is level 1).
+_LEVELS_TOUCHED = {PAGE_SIZE_1G: 2, PAGE_SIZE_2M: 3, PAGE_SIZE: 4}
 
 
 class PageTableError(Exception):
     pass
-
-
-@dataclass
-class PTEntry:
-    """One page-table entry (any level)."""
-
-    present: bool = False
-    writable: bool = True
-    #: For leaf entries: physical frame base.  For interior entries: the
-    #: next-level table.
-    frame: int = 0
-    huge: bool = False
-    table: "PageTable | None" = None
-
-
-@dataclass
-class PageTable:
-    """One 512-entry table."""
-
-    level: int  # 0 = PML4 ... 3 = PT
-    entries: dict[int, PTEntry] = field(default_factory=dict)
-
-    def entry(self, index: int, create: bool = False) -> PTEntry | None:
-        entry = self.entries.get(index)
-        if entry is None and create:
-            entry = PTEntry()
-            self.entries[index] = entry
-        return entry
 
 
 @dataclass(frozen=True)
@@ -75,15 +51,12 @@ class GuestPageTable:
     """A guest's four-level translation structure."""
 
     def __init__(self) -> None:
-        self.root = PageTable(level=0)
-        #: Leaf entries installed, for introspection.
-        self.leaf_count: dict[int, int] = {
-            PAGE_SIZE: 0, PAGE_SIZE_2M: 0, PAGE_SIZE_1G: 0
-        }
+        self._extents = LeafExtents()
 
-    @staticmethod
-    def _indices(vaddr: int) -> tuple[int, int, int, int]:
-        return tuple((vaddr >> shift) & _INDEX_MASK for shift in _LEVEL_SHIFTS)
+    @property
+    def leaf_count(self) -> dict[int, int]:
+        """Leaf entries installed per page size, for introspection."""
+        return dict(self._extents.counts)
 
     # -- mapping -------------------------------------------------------
 
@@ -100,135 +73,49 @@ class GuestPageTable:
 
         Greedily uses 1 GiB / 2 MiB leaves where both addresses align
         (capped by ``max_page``).  Overlapping an existing mapping is an
-        error — Kitten never double-maps.
+        error — Kitten never double-maps — raised after installing the
+        leaves that precede the first conflicting one, as a leaf-by-leaf
+        builder would.
         """
         if not (is_page_aligned(virt) and is_page_aligned(phys) and is_page_aligned(size)) or size <= 0:
             raise PageTableError(f"bad map [{virt:#x},+{size:#x})")
-        created = 0
-        remaining = size
-        while remaining:
-            for page_size in (PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE):
-                if page_size > max_page:
-                    continue
-                if virt % page_size or phys % page_size or remaining < page_size:
-                    continue
-                self._install_leaf(virt, phys, page_size, writable)
-                virt += page_size
-                phys += page_size
-                remaining -= page_size
-                created += 1
-                break
-        return created
-
-    def _install_leaf(
-        self, virt: int, phys: int, page_size: int, writable: bool
-    ) -> None:
-        leaf_level = {PAGE_SIZE_1G: 1, PAGE_SIZE_2M: 2, PAGE_SIZE: 3}[page_size]
-        table = self.root
-        indices = self._indices(virt)
-        for level in range(leaf_level):
-            entry = table.entry(indices[level], create=True)
-            assert entry is not None
-            if entry.present and entry.table is None:
-                raise PageTableError(
-                    f"{virt:#x}: huge mapping already covers this range"
-                )
-            if entry.table is None:
-                entry.table = PageTable(level=level + 1)
-                entry.present = True
-            table = entry.table
-        leaf = table.entry(indices[leaf_level], create=True)
-        assert leaf is not None
-        if leaf.present:
-            raise PageTableError(f"{virt:#x} already mapped")
-        leaf.present = True
-        leaf.writable = writable
-        leaf.frame = phys
-        leaf.huge = page_size != PAGE_SIZE
-        self.leaf_count[page_size] += 1
+        end = virt + size
+        cap = leaf_cap(phys - virt, max_page)
+        clash = self._extents.first_mapped(virt, end)
+        if clash < end:
+            clash &= -leaf_size(clash, virt, end, cap)
+            if clash > virt:
+                self._extents.insert(virt, clash, phys - virt, cap, writable)
+            raise PageTableError(f"{clash:#x} already mapped")
+        return self._extents.insert(virt, end, phys - virt, cap, writable)
 
     def unmap(self, virt: int, size: int) -> int:
         """Unmap [virt, +size); huge leaves are split when partially
-        covered.  Returns leaf entries removed (post-split)."""
+        covered.  Returns leaf entries removed (post-split).  A hole in
+        the range raises after everything below it is unmapped."""
         if not is_page_aligned(virt) or not is_page_aligned(size) or size <= 0:
             raise PageTableError(f"bad unmap [{virt:#x},+{size:#x})")
-        removed = 0
-        addr = virt
         end = virt + size
-        while addr < end:
-            result = self.walk(addr)
-            if result is None:
-                raise PageTableError(f"{addr:#x} not mapped")
-            base = addr & ~(result.page_size - 1)
-            leaf_end = base + result.page_size
-            if base < addr or leaf_end > end:
-                # Split the huge leaf and retry at finer granularity.
-                self._split_leaf(base, result)
-                continue
-            self._remove_leaf(base, result.page_size)
-            removed += 1
-            addr = leaf_end
+        hole = self._extents.first_hole(virt, end)
+        removed = self._extents.remove(virt, hole)
+        if hole < end:
+            raise PageTableError(f"{hole:#x} not mapped")
         return removed
-
-    def _split_leaf(self, base: int, result: WalkResult) -> None:
-        if result.page_size == PAGE_SIZE:
-            raise PageTableError("cannot split a 4K leaf")
-        at_base = self.walk(base)
-        assert at_base is not None
-        phys_base = at_base.paddr  # leaf-aligned physical base
-        smaller = PAGE_SIZE_2M if result.page_size == PAGE_SIZE_1G else PAGE_SIZE
-        self._remove_leaf(base, result.page_size)
-        for offset in range(0, result.page_size, smaller):
-            self._install_leaf(
-                base + offset, phys_base + offset, smaller, result.writable
-            )
-
-    def _remove_leaf(self, virt: int, page_size: int) -> None:
-        leaf_level = {PAGE_SIZE_1G: 1, PAGE_SIZE_2M: 2, PAGE_SIZE: 3}[page_size]
-        indices = self._indices(virt)
-        path: list[tuple[PageTable, int]] = []
-        table = self.root
-        for level in range(leaf_level):
-            entry = table.entry(indices[level])
-            if entry is None or entry.table is None:
-                raise PageTableError(f"{virt:#x}: broken interior node")
-            path.append((table, indices[level]))
-            table = entry.table
-        leaf = table.entry(indices[leaf_level])
-        if leaf is None or not leaf.present:
-            raise PageTableError(f"{virt:#x} not mapped at {page_size:#x}")
-        del table.entries[indices[leaf_level]]
-        self.leaf_count[page_size] -= 1
-        # Prune now-empty interior tables so the slot can later hold a
-        # huge leaf again (real kernels free empty page-table pages too).
-        for parent, index in reversed(path):
-            child = parent.entries[index].table
-            if child is not None and not child.entries:
-                del parent.entries[index]
-            else:
-                break
 
     # -- walking ---------------------------------------------------------
 
     def walk(self, vaddr: int) -> WalkResult | None:
         """Translate ``vaddr``; None on a guest page fault."""
-        indices = self._indices(vaddr)
-        table = self.root
-        for level in range(4):
-            entry = table.entry(indices[level])
-            if entry is None or not entry.present:
-                return None
-            if entry.table is None:  # leaf
-                page_size = {1: PAGE_SIZE_1G, 2: PAGE_SIZE_2M, 3: PAGE_SIZE}[level]
-                offset = vaddr & (page_size - 1)
-                return WalkResult(
-                    paddr=entry.frame + offset,
-                    page_size=page_size,
-                    writable=entry.writable,
-                    levels_touched=level + 1,
-                )
-            table = entry.table
-        return None  # pragma: no cover
+        leaf = self._extents.leaf(vaddr)
+        if leaf is None:
+            return None
+        _base, page_size, delta, writable = leaf
+        return WalkResult(
+            paddr=vaddr + delta,
+            page_size=page_size,
+            writable=writable,
+            levels_touched=_LEVELS_TOUCHED[page_size],
+        )
 
     def translate(self, vaddr: int, *, write: bool = False) -> WalkResult | None:
         result = self.walk(vaddr)
@@ -238,25 +125,10 @@ class GuestPageTable:
 
     def covers(self, addr: int, length: int) -> bool:
         """Is [addr, +length) fully mapped?"""
-        pos = addr
         end = addr + max(length, 1)
-        while pos < end:
-            result = self.walk(pos)
-            if result is None:
-                return False
-            pos = (pos & ~(result.page_size - 1)) + result.page_size
-        return True
+        return self._extents.first_hole(addr, end) >= end
 
     # -- introspection -------------------------------------------------
 
     def mapped_bytes(self) -> int:
-        return sum(size * count for size, count in self.leaf_count.items())
-
-    def tables(self) -> Iterator[PageTable]:
-        stack = [self.root]
-        while stack:
-            table = stack.pop()
-            yield table
-            for entry in table.entries.values():
-                if entry.table is not None:
-                    stack.append(entry.table)
+        return self._extents.mapped_bytes

@@ -8,7 +8,11 @@ Mappings exist at 4 KiB, 2 MiB and 1 GiB granularity.  ``map_region``
 greedily coalesces into the largest page size that alignment permits —
 the optimization the paper calls out — and ``unmap_region`` splinters
 large pages when an unmap cuts through one, exactly as a real EPT
-manager must.
+manager must.  The table stores one extent per ``map_region`` call
+(:class:`repro.hw.memory.LeafExtents`) and computes its entries: the
+greedy 1G → 2M → 4K decomposition of each extent, which splintering
+preserves.  An :class:`EptMapping` is built only when a lookup asks for
+one.
 """
 
 from __future__ import annotations
@@ -18,17 +22,21 @@ from typing import Iterator
 
 from repro.hw.memory import (
     PAGE_SIZE,
-    PAGE_SIZE_1G,
-    PAGE_SIZE_2M,
+    PAGE_SIZES_DESC,
+    LeafExtents,
     is_page_aligned,
+    leaf_cap,
 )
-
-#: Page sizes from largest to smallest, for greedy coalescing.
-PAGE_SIZES_DESC = (PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE)
 
 
 class EptError(Exception):
     """Structural misuse of the EPT (overlapping map, bad alignment)."""
+
+
+class EptInvariantError(EptError):
+    """The EPT's own structure is broken (overlapping or malformed
+    extents): raised by :meth:`ExtendedPageTable.check_invariants`,
+    whatever the interpreter's ``-O`` setting."""
 
 
 @dataclass(frozen=True)
@@ -109,13 +117,13 @@ class ExtendedPageTable:
     """
 
     def __init__(self) -> None:
-        self._mappings: dict[int, EptMapping] = {}
+        self._extents = LeafExtents()
         #: Monotonic generation number, bumped on every structural change;
         #: lets cores detect they are running on stale translations.
         self.generation: int = 0
 
     def __len__(self) -> int:
-        return len(self._mappings)
+        return sum(self._extents.counts.values())
 
     # -- mapping -------------------------------------------------------
 
@@ -126,14 +134,14 @@ class ExtendedPageTable:
         host_start: int | None = None,
         perms: EptPermissions | None = None,
         coalesce: bool = True,
-    ) -> list[EptMapping]:
+    ) -> int:
         """Map ``[guest_start, +size)`` — identity map unless ``host_start``.
 
         Greedily uses 1 GiB and 2 MiB pages where alignment of both sides
-        allows (disable with ``coalesce=False`` for the ablation study).
-        Raises :class:`EptError` if any byte of the range is already
-        mapped: Covirt's controller is the single writer and never
-        double-maps.
+        allows (disable with ``coalesce=False`` for the ablation study);
+        returns the number of entries created.  Raises :class:`EptError`
+        if any byte of the range is already mapped: Covirt's controller
+        is the single writer and never double-maps.
         """
         if size <= 0 or not is_page_aligned(size) or not is_page_aligned(guest_start):
             raise EptError(f"bad map range [{guest_start:#x},+{size:#x})")
@@ -145,26 +153,12 @@ class ExtendedPageTable:
             raise EptError(
                 f"map [{guest_start:#x},+{size:#x}) overlaps existing mapping"
             )
-        perms = perms or EptPermissions.full()
-        created: list[EptMapping] = []
-        gpa, hpa, remaining = guest_start, host_start, size
-        sizes = PAGE_SIZES_DESC if coalesce else (PAGE_SIZE,)
-        while remaining:
-            for page_size in sizes:
-                if (
-                    gpa % page_size == 0
-                    and hpa % page_size == 0
-                    and remaining >= page_size
-                ):
-                    mapping = EptMapping(gpa, hpa, page_size, perms)
-                    self._mappings[gpa] = mapping
-                    created.append(mapping)
-                    gpa += page_size
-                    hpa += page_size
-                    remaining -= page_size
-                    break
-            else:  # pragma: no cover - PAGE_SIZE always matches
-                raise EptError("no page size fits")
+        delta = host_start - guest_start
+        cap = leaf_cap(delta) if coalesce else PAGE_SIZE
+        created = self._extents.insert(
+            guest_start, guest_start + size, delta, cap,
+            perms or EptPermissions.full(),
+        )
         self.generation += 1
         return created
 
@@ -179,49 +173,24 @@ class ExtendedPageTable:
         if size <= 0 or not is_page_aligned(size) or not is_page_aligned(guest_start):
             raise EptError(f"bad unmap range [{guest_start:#x},+{size:#x})")
         end = guest_start + size
-        covered = sum(
-            min(m.guest_end, end) - max(m.guest_page, guest_start)
-            for m in self._overlapping(guest_start, size)
-        )
-        if covered != size:
+        if self._extents.first_hole(guest_start, end) < end:
             raise EptError(
                 f"unmap [{guest_start:#x},+{size:#x}) covers only "
-                f"{covered:#x} mapped bytes"
+                f"{self._extents.mapped_in(guest_start, end):#x} mapped bytes"
             )
-        for mapping in self._overlapping(guest_start, size):
-            del self._mappings[mapping.guest_page]
-            if mapping.guest_page < guest_start:
-                self._resplinter(
-                    mapping, mapping.guest_page, guest_start - mapping.guest_page
-                )
-            if mapping.guest_end > end:
-                self._resplinter(mapping, end, mapping.guest_end - end)
+        self._extents.remove(guest_start, end)
         self.generation += 1
         return size
-
-    def _resplinter(self, parent: EptMapping, gpa: int, size: int) -> None:
-        """Re-map a surviving slice of a splintered large page."""
-        hpa = parent.translate(gpa)
-        remaining = size
-        while remaining:
-            for page_size in PAGE_SIZES_DESC:
-                if gpa % page_size == 0 and hpa % page_size == 0 and remaining >= page_size:
-                    self._mappings[gpa] = EptMapping(gpa, hpa, page_size, parent.perms)
-                    gpa += page_size
-                    hpa += page_size
-                    remaining -= page_size
-                    break
 
     # -- lookup --------------------------------------------------------
 
     def find_mapping(self, gpa: int) -> EptMapping | None:
-        """The mapping covering ``gpa``, if any (O(1) per page size)."""
-        for page_size in PAGE_SIZES_DESC:
-            base = gpa & ~(page_size - 1)
-            mapping = self._mappings.get(base)
-            if mapping is not None and mapping.page_size == page_size:
-                return mapping
-        return None
+        """The entry covering ``gpa``, if any (a bisect over extents)."""
+        leaf = self._extents.leaf(gpa)
+        if leaf is None:
+            return None
+        base, page_size, delta, perms = leaf
+        return EptMapping(base, base + delta, page_size, perms)
 
     def translate(
         self, gpa: int, *, write: bool = False, execute: bool = False
@@ -233,43 +202,34 @@ class ExtendedPageTable:
         return mapping.translate(gpa), mapping
 
     def is_mapped(self, gpa: int) -> bool:
-        return self.find_mapping(gpa) is not None
-
-    def _overlapping(self, start: int, size: int) -> list[EptMapping]:
-        end = start + size
-        return [
-            m
-            for m in self._mappings.values()
-            if m.guest_page < end and m.guest_end > start
-        ]
+        return self._extents.find(gpa) >= 0
 
     def overlaps(self, start: int, size: int) -> bool:
-        return bool(self._overlapping(start, size))
+        return self._extents.first_mapped(start, start + size) < start + size
 
     # -- introspection -------------------------------------------------
 
     def mappings(self) -> Iterator[EptMapping]:
-        yield from sorted(self._mappings.values(), key=lambda m: m.guest_page)
+        """Every entry, in guest-address order."""
+        for base, page_size, delta, perms in self._extents.leaves():
+            yield EptMapping(base, base + delta, page_size, perms)
 
     @property
     def mapped_bytes(self) -> int:
-        return sum(m.page_size for m in self._mappings.values())
+        return self._extents.mapped_bytes
 
     def count_by_size(self) -> dict[int, int]:
         """{page_size: count} — how well coalescing did."""
-        counts: dict[int, int] = {PAGE_SIZE: 0, PAGE_SIZE_2M: 0, PAGE_SIZE_1G: 0}
-        for m in self._mappings.values():
-            counts[m.page_size] += 1
-        return counts
+        return dict(self._extents.counts)
 
     @property
     def is_identity(self) -> bool:
-        return all(m.is_identity for m in self._mappings.values())
+        return not any(self._extents.deltas)
 
     def check_invariants(self) -> None:
-        """No overlaps, all aligned (alignment enforced at construction)."""
-        spans = sorted(
-            (m.guest_page, m.guest_end) for m in self._mappings.values()
-        )
-        for (s1, e1), (s2, _e2) in zip(spans, spans[1:]):
-            assert e1 <= s2, f"overlapping EPT mappings at {s2:#x}"
+        """No overlapping or malformed extents; raises
+        :class:`EptInvariantError` (alignment of each entry follows from
+        its extent's)."""
+        fault = self._extents.fault()
+        if fault is not None:
+            raise EptInvariantError(f"EPT {fault}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import socket
+import time
 
 import pytest
 
@@ -34,8 +35,32 @@ from repro.serve.telemetry import MAX_QUEUE_FRAMES, TelemetryHub
 from repro.serve.top import render_top
 
 
-def _drain(client: ServeClient, max_seconds: float = 3.0) -> list[dict]:
-    return client.read_frames(count=1_000_000, max_seconds=max_seconds)
+def _drain(
+    client: ServeClient,
+    daemon: ServeDaemon,
+    *,
+    consumed: int = 0,
+    max_seconds: float = 3.0,
+) -> list[dict]:
+    """Read frames until ``client`` has caught up with its subscription
+    (the only one on ``daemon``): nothing queued or owed a ``drops``
+    frame, and every frame the hub sent has been read — ``consumed`` of
+    them by the test before this call.  Call it after the test's last
+    op has returned: the daemon queues all of an op's frames before it
+    replies, so none can follow.  ``max_seconds`` only bounds a failure.
+    """
+    (sub,) = daemon.telemetry.subscribers.values()
+    frames: list[dict] = []
+    deadline = time.monotonic() + max_seconds
+    while sub.queue or sub.pending_drops or consumed + len(frames) < sub.sent:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            pytest.fail(
+                f"read {consumed + len(frames)} of {sub.sent} sent frames "
+                f"({len(sub.queue)} still queued) within {max_seconds} s"
+            )
+        frames += client.read_frames(count=1, max_seconds=min(remaining, 0.1))
+    return frames
 
 
 class TestSubscribe:
@@ -49,14 +74,14 @@ class TestSubscribe:
         assert validate_telemetry_frame(hello) == []
 
     def test_live_session_traffic_arrives_schema_valid(
-        self, client, make_client
+        self, client, make_client, daemon
     ):
         client.subscribe()
         driver = make_client("t-driver")
         sid = driver.launch(seed=3)["session_id"]
         driver.step(sid, steps=8)
         driver.kill(sid)
-        frames = _drain(client)
+        frames = _drain(client, daemon)
         kinds = {f["type"] for f in frames}
         assert {"hello", "lifecycle", "span", "metric"} <= kinds
         for frame in frames:
@@ -67,32 +92,34 @@ class TestSubscribe:
         assert events.count("launch") == 1
         assert events.count("kill") == 1
 
-    def test_seq_is_monotonic_per_subscriber(self, client, make_client):
+    def test_seq_is_monotonic_per_subscriber(
+        self, client, make_client, daemon
+    ):
         client.subscribe()
         driver = make_client("t-driver")
         sid = driver.launch(seed=3)["session_id"]
         driver.step(sid, steps=4)
-        seqs = [f["seq"] for f in _drain(client)]
+        seqs = [f["seq"] for f in _drain(client, daemon)]
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == len(seqs)
 
-    def test_kind_filter(self, client, make_client):
+    def test_kind_filter(self, client, make_client, daemon):
         client.subscribe(kinds=["lifecycle"])
         driver = make_client("t-driver")
         sid = driver.launch(seed=3)["session_id"]
         driver.step(sid, steps=4)
         driver.kill(sid)
-        frames = _drain(client)
+        frames = _drain(client, daemon)
         # hello bypasses filters; everything else must be lifecycle.
         assert frames[0]["type"] == "hello"
         assert {f["type"] for f in frames[1:]} == {"lifecycle"}
 
-    def test_tenant_filter(self, client, make_client):
+    def test_tenant_filter(self, client, make_client, daemon):
         client.subscribe(tenants=["t-a"], kinds=["lifecycle"])
         for tenant in ("t-a", "t-b"):
             driver = make_client(tenant)
             driver.kill(driver.launch(seed=1)["session_id"])
-        frames = [f for f in _drain(client) if f["type"] == "lifecycle"]
+        frames = [f for f in _drain(client, daemon) if f["type"] == "lifecycle"]
         assert frames, "expected lifecycle frames from t-a"
         assert {f["tenant"] for f in frames} == {"t-a"}
 
@@ -158,13 +185,13 @@ class TestZeroOverheadGate:
         driver = make_client("t-driver")
         sid = driver.launch(seed=3)["session_id"]
         driver.step(sid, steps=4)
-        frames = _drain(client)
+        frames = _drain(client, daemon, consumed=1)
         assert any(f["session_id"] == sid for f in frames)
 
 
 class TestSlowSubscriber:
     def test_slow_client_drops_are_counted_not_stalling(
-        self, client, make_client
+        self, client, make_client, daemon
     ):
         client.subscribe(max_queue=1)
         driver = make_client("t-driver")
@@ -172,7 +199,7 @@ class TestSlowSubscriber:
         # One step request publishes a burst of span/metric frames
         # before the loop flushes, so a queue of 1 must drop.
         driver.step(sid, steps=16)
-        frames = _drain(client)
+        frames = _drain(client, daemon)
         drops = [f for f in frames if f["type"] == "drops"]
         assert drops, "expected a drops frame from the size-1 queue"
         for frame in drops:
@@ -189,13 +216,15 @@ class TestSlowSubscriber:
         driver = make_client("t-driver")
         sid = driver.launch(seed=3)["session_id"]
         driver.step(sid, steps=16)
-        _drain(client)
+        _drain(client, daemon)
         stats = client.stats()["telemetry"]
         assert stats["total_dropped"] >= 1
 
 
 class TestTraceStream:
-    def test_stream_is_scoped_to_the_session(self, client, make_client):
+    def test_stream_is_scoped_to_the_session(
+        self, client, make_client, daemon
+    ):
         driver = make_client("t-main")
         sid_a = driver.launch(seed=1)["session_id"]
         sid_b = driver.launch(seed=2)["session_id"]
@@ -203,7 +232,7 @@ class TestTraceStream:
         assert sub["session_id"] == sid_a
         driver.step(sid_a, steps=4)
         driver.step(sid_b, steps=4)
-        frames = _drain(client)
+        frames = _drain(client, daemon)
         ids = {f.get("session_id") for f in frames if f["type"] != "hello"}
         assert ids <= {sid_a}
 

@@ -1,10 +1,17 @@
 """Extended page tables: mapping, coalescing, splintering, translation."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.hw.memory import PAGE_SIZE, PAGE_SIZE_1G, PAGE_SIZE_2M
 from repro.vmx.ept import (
     EptError,
+    EptInvariantError,
     EptMapping,
     EptPermissions,
     EptViolationInfo,
@@ -189,3 +196,64 @@ class TestUnmapRegion:
         ept.map_region(0, PAGE_SIZE)
         starts = [m.guest_page for m in ept.mappings()]
         assert starts == sorted(starts)
+
+
+class TestInvariants:
+    def test_sound_table_passes(self):
+        ept = ExtendedPageTable()
+        ept.map_region(0, GiB + PAGE_SIZE)
+        ept.unmap_region(PAGE_SIZE_2M, PAGE_SIZE)
+        ept.check_invariants()
+
+    def test_overlap_behind_the_api_is_typed(self):
+        ept = ExtendedPageTable()
+        ept.map_region(0, 4 * PAGE_SIZE)
+        ept._extents.insert(
+            2 * PAGE_SIZE, 6 * PAGE_SIZE, 0, PAGE_SIZE, EptPermissions.full()
+        )
+        with pytest.raises(EptInvariantError, match="overlap at 0x2000"):
+            ept.check_invariants()
+        assert issubclass(EptInvariantError, EptError)
+        assert not issubclass(EptInvariantError, AssertionError)
+
+    def test_oracle_catches_overlap_under_python_O(self):
+        """The ept-coverage oracle does not rest on ``assert``: run with
+        ``-O``, an overlapping extent slipped in behind the API still
+        becomes an ept-coverage violation."""
+        script = textwrap.dedent(
+            """
+            from repro.core.features import CovirtConfig
+            from repro.fuzz.oracles import OraclePack, OracleViolation
+            from repro.harness.env import CovirtEnvironment, Layout
+            from repro.vmx.ept import EptPermissions
+
+            assert False, "asserts must be stripped in this run"
+            env = CovirtEnvironment()
+            enclave = env.launch(
+                Layout("2c/2n", {0: 1, 1: 1}, {0: 1 << 30, 1: 1 << 30}),
+                CovirtConfig.memory_only(),
+            )
+            pack = OraclePack(env)
+            pack.check_all()
+            table = env.controller.contexts[enclave.enclave_id].ept.table
+            start = table._extents.starts[0]
+            table._extents.insert(
+                start, start + 4096, 0, 4096, EptPermissions.full()
+            )
+            try:
+                pack.check_all()
+            except OracleViolation as violation:
+                print(violation.oracle, "|", violation.detail)
+            else:
+                print("undetected")
+            """
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout.strip()
+        oracle, _, detail = out.partition(" | ")
+        assert oracle == "ept-coverage", out
+        assert "mappings overlap" in detail
