@@ -1,9 +1,8 @@
 """Benchmark-suite helpers.
 
-Every bench target runs its experiment driver once to print the
-paper-shaped table (through the captured-output bypass so it lands in
-the terminal / tee'd log), then hands the driver to pytest-benchmark
-for timing.
+A bench target runs its driver once to print its table (through the
+captured-output bypass so it lands in the terminal / tee'd log), then
+hands the driver to pytest-benchmark for timing.
 """
 
 from __future__ import annotations

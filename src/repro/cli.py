@@ -11,17 +11,27 @@ import sys
 from typing import Callable
 
 from repro.harness import experiments as ex
+from repro.harness.figures import FIGURES, Figure
+
+
+def _figure_driver(
+    figure: Figure, view: Callable[[list], "ex.ExperimentResult"]
+) -> Callable[[], "ex.ExperimentResult"]:
+    def driver() -> "ex.ExperimentResult":
+        return view(figure.run())
+
+    driver.__doc__ = view.__doc__
+    return driver
+
 
 #: experiment name → driver
 EXPERIMENTS: dict[str, Callable[[], "ex.ExperimentResult"]] = {
     "table1": ex.run_table1,
-    "fig3": ex.run_fig3_selfish,
-    "fig4": ex.run_fig4_xemem,
-    "fig5a": ex.run_fig5_stream,
-    "fig5b": ex.run_fig5_randomaccess,
-    "fig6": ex.run_fig6_minife,
-    "fig7": ex.run_fig7_hpcg,
-    "fig8": ex.run_fig8_lammps,
+    **{
+        name: _figure_driver(figure, view)
+        for figure in FIGURES.values()
+        for name, view in figure.views.items()
+    },
     "ablation-coalescing": ex.run_ablation_coalescing,
     "ablation-ipi-mode": ex.run_ablation_ipi_mode,
     "ablation-async": ex.run_ablation_async_config,

@@ -1,31 +1,23 @@
-"""Experiment drivers: one per table/figure in the paper's evaluation.
+"""Experiment drivers for Table I, the ablations and the experiments
+beyond the paper's figures.
 
-Each driver builds (or receives) a :class:`CovirtEnvironment`, runs the
-paper's sweep, and returns structured rows plus a rendered table whose
-columns match what the figure reports.  The pytest-benchmark targets in
-``benchmarks/`` wrap these.
+Each driver builds fresh :class:`CovirtEnvironment` instances, runs its
+sweep, and returns structured rows plus a rendered table.  The paper's Figs. 3–8
+are declared in :mod:`repro.harness.figures`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.core.features import CovirtConfig, EVALUATION_CONFIGS
-from repro.harness.env import (
-    CovirtEnvironment,
-    EVALUATION_LAYOUTS,
-    MICROBENCH_LAYOUT,
-    Layout,
-)
-from repro.harness.report import format_rows, overhead_pct
+from repro.harness.env import CovirtEnvironment, MICROBENCH_LAYOUT, Layout
+from repro.harness.report import format_rows
 from repro.hw.clock import CYCLES_PER_US
-from repro.hw.memory import page_align_up
-from repro.workloads.base import Workload, WorkloadResult
 from repro.workloads.hpcg import Hpcg
-from repro.workloads.lammps import LAMMPS_PROBLEMS, Lammps
-from repro.workloads.minife import MiniFE
+from repro.workloads.lammps import Lammps
 from repro.workloads.randomaccess import RandomAccess
 from repro.workloads.registry import format_table1
 from repro.workloads.selfish import SelfishDetour
@@ -112,248 +104,6 @@ def run_table1(validate_kernels: bool = False) -> ExperimentResult:
         headers=["Benchmark Name", "Version", "Parameters"],
         rows=rows,
         notes=notes,
-    )
-
-
-# -- Fig. 3: Selfish Detour ------------------------------------------------
-
-
-def run_fig3_selfish(duration_seconds: float = 10.0) -> ExperimentResult:
-    """Fig. 3: noise profile per Covirt configuration.
-
-    Expected shape: detour *counts* identical in every configuration
-    (virtualization adds no noise events), durations shifted by at most
-    the exit cost on interrupt-virtualizing configs.
-    """
-    workload = SelfishDetour(duration_seconds)
-    rows = []
-    for label, _config in EVALUATION_CONFIGS:
-        trace = workload.sample(label)
-        rows.append(
-            [
-                label,
-                trace.count,
-                round(trace.max_detour_us(), 3),
-                f"{trace.noise_fraction * 100:.5f}%",
-            ]
-        )
-    return ExperimentResult(
-        experiment="Fig. 3: Selfish-Detour noise profile",
-        headers=["config", "detours", "max detour (us)", "noise fraction"],
-        rows=rows,
-        notes="Counts identical across configs: virtualization adds no noise events.",
-    )
-
-
-# -- Fig. 4: XEMEM attach latency ----------------------------------------
-
-
-def run_fig4_xemem(
-    env: CovirtEnvironment | None = None,
-    sizes_mb: list[int] | None = None,
-) -> ExperimentResult:
-    """Fig. 4: XEMEM attach latency vs region size, Covirt on/off.
-
-    Two enclaves per mode (owner exports, attacher attaches); latency is
-    TSC-sampled on the attaching core around the attach call, exactly as
-    the paper measures it.
-    """
-    sizes_mb = sizes_mb or [1, 4, 16, 64, 256, 1024]
-    results: dict[str, list[float]] = {}
-    for mode_label, config in [
-        ("covirt-off", None),
-        ("covirt-on", CovirtConfig.memory_only()),
-    ]:
-        # Fresh environment per mode: enclaves occupy most of the machine.
-        e = CovirtEnvironment()
-        owner_layout = Layout(
-            "owner", {0: 1}, {0: 4 * 1024 * MiB}
-        )
-        attacher_layout = Layout(
-            "attacher", {1: 1}, {1: 2 * 1024 * MiB}
-        )
-        owner = e.controller.launch(owner_layout.spec("owner"), config)
-        attacher = e.controller.launch(attacher_layout.spec("attacher"), config)
-        okernel = owner.kernel
-        assert okernel is not None
-        task = okernel.spawn("exporter", mem_bytes=page_align_up(1100 * MiB))
-        base = task.slices[0].start
-        attach_core = attacher.assignment.core_ids[0]
-        core = e.machine.core(attach_core)
-        latencies = []
-        for i, size_mb in enumerate(sizes_mb):
-            size = size_mb * MiB
-            seg = e.mcp.xemem.make(
-                owner.enclave_id, f"region-{i}", base, size
-            )
-            t0 = core.read_tsc()
-            e.mcp.xemem.attach(
-                attacher.enclave_id, seg.segid, core_hint=attach_core
-            )
-            t1 = core.read_tsc()
-            latencies.append((t1 - t0) / CYCLES_PER_US)
-            e.mcp.xemem.detach(
-                attacher.enclave_id, seg.segid, core_hint=attach_core
-            )
-            e.mcp.xemem.remove(seg.segid)
-        results[mode_label] = latencies
-    rows = [
-        [
-            f"{size} MB",
-            round(off, 1),
-            round(on, 1),
-            f"{overhead_pct(on, off):+.2f}%",
-        ]
-        for size, off, on in zip(
-            sizes_mb, results["covirt-off"], results["covirt-on"]
-        )
-    ]
-    return ExperimentResult(
-        experiment="Fig. 4: XEMEM attach delay",
-        headers=["region size", "no covirt (us)", "covirt (us)", "delta"],
-        rows=rows,
-        notes="Covirt's EPT update rides the existing control path: curves overlap.",
-    )
-
-
-# -- generic config sweep ---------------------------------------------------
-
-
-def _sweep_configs(
-    workload: Workload,
-    layout: Layout,
-    env: CovirtEnvironment | None = None,
-) -> list[WorkloadResult]:
-    """Run one workload × every evaluation config on fresh enclaves."""
-    results = []
-    for label, config in EVALUATION_CONFIGS:
-        e = env if env is not None else CovirtEnvironment()
-        enclave = e.launch(layout, config, name=f"{workload.name}-{label}")
-        results.append(e.engine.run(workload, enclave))
-        e.teardown(enclave)
-    return results
-
-
-def _overhead_rows(results: list[WorkloadResult]) -> list[list[Any]]:
-    native = results[0]
-    rows = []
-    for res in results:
-        rows.append(
-            [
-                res.config_label,
-                res.layout_label,
-                round(res.fom, 3),
-                f"{res.overhead_vs(native) * 100:+.2f}%",
-            ]
-        )
-    return rows
-
-
-# -- Fig. 5: STREAM and RandomAccess ---------------------------------------
-
-
-def run_fig5_stream(env: CovirtEnvironment | None = None) -> ExperimentResult:
-    """Fig. 5a: STREAM across configs — no noticeable overhead."""
-    results = _sweep_configs(Stream(), MICROBENCH_LAYOUT, env)
-    return ExperimentResult(
-        experiment="Fig. 5a: STREAM (triad MB/s, 1 core)",
-        headers=["config", "layout", "MB/s", "overhead"],
-        rows=_overhead_rows(results),
-        notes="Sequential traffic amortises EPT walks: all configs ~native.",
-    )
-
-
-def run_fig5_randomaccess(
-    env: CovirtEnvironment | None = None,
-) -> ExperimentResult:
-    """Fig. 5b: RandomAccess — worst case ~3.1 % (mem+IPI), ~1.8 % (mem)."""
-    results = _sweep_configs(RandomAccess(), MICROBENCH_LAYOUT, env)
-    return ExperimentResult(
-        experiment="Fig. 5b: RandomAccess (GUP/s, 1 core)",
-        headers=["config", "layout", "GUP/s", "overhead"],
-        rows=_overhead_rows(results),
-        notes="TLB-hostile updates expose the nested-walk cost.",
-    )
-
-
-# -- Figs. 6 & 7: mini-app scaling over layouts ----------------------------
-
-
-def _run_scaling(workload_factory, title, fom_label) -> ExperimentResult:
-    rows: list[list[Any]] = []
-    for layout in EVALUATION_LAYOUTS:
-        native_result: WorkloadResult | None = None
-        for label, config in EVALUATION_CONFIGS:
-            env = CovirtEnvironment()
-            enclave = env.launch(layout, config)
-            result = env.engine.run(workload_factory(), enclave)
-            env.teardown(enclave)
-            if native_result is None:
-                native_result = result
-            rows.append(
-                [
-                    layout.label,
-                    label,
-                    round(result.fom, 2),
-                    f"{result.overhead_vs(native_result) * 100:+.2f}%",
-                ]
-            )
-    return ExperimentResult(
-        experiment=title,
-        headers=["layout", "config", fom_label, "overhead"],
-        rows=rows,
-    )
-
-
-def run_fig6_minife() -> ExperimentResult:
-    """Fig. 6: MiniFE over core/NUMA layouts — no noticeable overhead."""
-    return _run_scaling(
-        MiniFE, "Fig. 6: MiniFE scaling over CPU-core/NUMA-zone layouts",
-        "CG MFLOP/s",
-    )
-
-
-def run_fig7_hpcg() -> ExperimentResult:
-    """Fig. 7: HPCG over layouts — constant ~1.4 % worst-case penalty."""
-    return _run_scaling(
-        Hpcg, "Fig. 7: HPCG scaling over CPU-core/NUMA-zone layouts",
-        "GFLOP/s",
-    )
-
-
-# -- Fig. 8: LAMMPS ---------------------------------------------------------
-
-
-def run_fig8_lammps() -> ExperimentResult:
-    """Fig. 8: LAMMPS loop times, 8 cores / 2 zones.
-
-    Expected shape: lj/eam/chain near-identical across configs; chute
-    the most protection-sensitive, with native / covirt-none fastest.
-    """
-    layout = EVALUATION_LAYOUTS[3]  # 8c/2n
-    rows: list[list[Any]] = []
-    for problem in LAMMPS_PROBLEMS:
-        native: WorkloadResult | None = None
-        for label, config in EVALUATION_CONFIGS:
-            env = CovirtEnvironment()
-            enclave = env.launch(layout, config)
-            result = env.engine.run(Lammps(problem), enclave)
-            env.teardown(enclave)
-            if native is None:
-                native = result
-            rows.append(
-                [
-                    problem,
-                    label,
-                    round(result.fom, 2),
-                    f"{result.overhead_vs(native) * 100:+.2f}%",
-                ]
-            )
-    return ExperimentResult(
-        experiment="Fig. 8: LAMMPS loop times (s, lower is better), 8c/2n",
-        headers=["problem", "config", "loop time (s)", "overhead"],
-        rows=rows,
-        notes="chute is the protection-sensitive outlier, as in the paper.",
     )
 
 

@@ -1,162 +1,21 @@
 """One-shot reproduction verification.
 
-Runs every experiment and checks the paper's *shape claims* as explicit
-bands — the same bands the test suite pins, but packaged as a single
-report a reader can run (``python -m repro verify``) to see
-paper-vs-measured at a glance.
+Runs every paper figure once and checks its *shape claims* — declared
+next to the figure in :data:`repro.harness.figures.FIGURES` and
+measured on its typed rows — packaged as a single report a reader can
+run (``python -m repro verify``) to see paper-vs-measured at a glance.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from typing import Callable
+from itertools import groupby
 
-from repro.harness import experiments as ex
-from repro.harness.experiments import ExperimentResult
+from repro.harness.figures import FIGURES, Claim, Figure
 from repro.harness.report import format_rows
 
-
-def _pct(cell: str) -> float:
-    match = re.match(r"([+-]?\d+(\.\d+)?)", str(cell).strip())
-    assert match, f"not numeric: {cell!r}"
-    return float(match.group(1))
-
-
-@dataclass
-class Claim:
-    """One paper claim with an acceptance band."""
-
-    figure: str
-    claim: str
-    band: str
-    measure: Callable[[ExperimentResult], float]
-    low: float
-    high: float
-
-    def evaluate(self, result: ExperimentResult) -> tuple[float, bool]:
-        value = self.measure(result)
-        return value, self.low <= value <= self.high
-
-
-def _config_overhead(result: ExperimentResult, config: str) -> float:
-    rows = dict(zip(result.column("config"), result.column("overhead")))
-    return _pct(rows[config])
-
-
-def _worst_overhead(result: ExperimentResult, where: str | None = None,
-                    key_col: str = "problem") -> float:
-    values = []
-    for row in result.rows:
-        record = dict(zip(result.headers, row))
-        if where is not None and record.get(key_col) != where:
-            continue
-        values.append(_pct(record["overhead"]))
-    return max(values)
-
-
-CLAIMS: list[tuple[str, Callable[[], ExperimentResult], list[Claim]]] = [
-    (
-        "fig3",
-        lambda: ex.run_fig3_selfish(duration_seconds=10.0),
-        [
-            Claim(
-                "Fig. 3", "noise profiles show little variation",
-                "detour-count spread = 0",
-                lambda r: float(
-                    max(r.column("detours")) - min(r.column("detours"))
-                ),
-                0.0, 0.0,
-            )
-        ],
-    ),
-    (
-        "fig4",
-        lambda: ex.run_fig4_xemem(sizes_mb=[1, 16, 256, 1024]),
-        [
-            Claim(
-                "Fig. 4", "attach overhead little-to-none, shrinking",
-                "delta at 1 GB < 1 %",
-                lambda r: _pct(r.column("delta")[-1]),
-                -1.0, 1.0,
-            )
-        ],
-    ),
-    (
-        "fig5a",
-        ex.run_fig5_stream,
-        [
-            Claim(
-                "Fig. 5a", "STREAM: no noticeable overhead",
-                "worst config < 0.5 %",
-                lambda r: max(_pct(c) for c in r.column("overhead")),
-                0.0, 0.5,
-            )
-        ],
-    ),
-    (
-        "fig5b",
-        ex.run_fig5_randomaccess,
-        [
-            Claim(
-                "Fig. 5b", "memory protection adds ~1.8 %",
-                "1.0–2.5 %",
-                lambda r: _config_overhead(r, "covirt-mem"),
-                1.0, 2.5,
-            ),
-            Claim(
-                "Fig. 5b", "worst case (mem+IPI) ~3.1 %",
-                "2.5–4.0 %",
-                lambda r: _config_overhead(r, "covirt-mem+ipi"),
-                2.5, 4.0,
-            ),
-        ],
-    ),
-    (
-        "fig6",
-        ex.run_fig6_minife,
-        [
-            Claim(
-                "Fig. 6", "MiniFE: little to no overhead, all layouts",
-                "worst < 0.75 %",
-                lambda r: max(_pct(c) for c in r.column("overhead")),
-                0.0, 0.75,
-            )
-        ],
-    ),
-    (
-        "fig7",
-        ex.run_fig7_hpcg,
-        [
-            Claim(
-                "Fig. 7", "HPCG worst case ~1.4 %",
-                "0.8–2.0 %",
-                lambda r: max(_pct(c) for c in r.column("overhead")),
-                0.8, 2.0,
-            )
-        ],
-    ),
-    (
-        "fig8",
-        ex.run_fig8_lammps,
-        [
-            Claim(
-                "Fig. 8", "lj/eam/chain similar across configs",
-                "worst of the three < 2 %",
-                lambda r: max(
-                    _worst_overhead(r, problem)
-                    for problem in ("lj", "eam", "chain")
-                ),
-                0.0, 2.0,
-            ),
-            Claim(
-                "Fig. 8", "chute most sensitive, still minimal",
-                "2–8 %",
-                lambda r: _worst_overhead(r, "chute"),
-                2.0, 8.0,
-            ),
-        ],
-    ),
+#: Every paper claim, with the figure whose rows it is measured on.
+CLAIMS: list[tuple[Figure, Claim]] = [
+    (figure, claim) for figure in FIGURES.values() for claim in figure.claims
 ]
 
 
@@ -164,10 +23,10 @@ def run_verification() -> tuple[str, bool]:
     """Run all claims; returns (report text, all passed)."""
     rows = []
     all_ok = True
-    for _name, driver, claims in CLAIMS:
-        result = driver()
-        for claim in claims:
-            value, ok = claim.evaluate(result)
+    for figure, pairs in groupby(CLAIMS, key=lambda pair: pair[0]):
+        results = figure.run()
+        for _figure, claim in pairs:
+            value, ok = claim.evaluate(results)
             all_ok &= ok
             rows.append(
                 [

@@ -16,9 +16,8 @@ class TestVerification:
             assert figure in report
 
     def test_claim_bands_are_sane(self):
-        for _name, _driver, claims in CLAIMS:
-            for claim in claims:
-                assert claim.low <= claim.high
+        for _figure, claim in CLAIMS:
+            assert claim.low <= claim.high
 
     def test_cli_verify_exits_zero(self, capsys):
         assert main(["verify"]) == 0

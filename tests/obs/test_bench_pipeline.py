@@ -78,6 +78,19 @@ class TestRunner:
             <= by_mode["guided"]["corpus_entries"]
         )
 
+    def test_fuzz_scenario_raises_on_replay_divergence(self, runner, monkeypatch):
+        """An explicit raise, not an ``assert``: it holds under ``python -O``
+        and carries the replay's diffs."""
+        import repro.fuzz
+        from repro.fuzz.recorder import ReplayResult
+
+        def diverged(run):
+            return ReplayResult(run, run, diffs=["step 3: outcome 'ok' → 'fault'"])
+
+        monkeypatch.setattr(repro.fuzz, "replay_run", diverged)
+        with pytest.raises(AssertionError, match="step 3: outcome"):
+            runner.run_scenario("fuzz", quick=True)
+
     def test_workload_scenario_rows_carry_config_and_fom(self, runner):
         doc = runner.run_scenario("fig5", quick=True)
         assert validate_bench(doc) == []
