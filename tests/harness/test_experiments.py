@@ -33,10 +33,6 @@ def test_paper_claim_in_band(figure, claim):
     )
 
 
-def configs(rows) -> list[str]:
-    return [row.result.config_label for row in rows]
-
-
 def of(rows, workload: str):
     return [row for row in rows if row.result.workload == workload]
 
@@ -71,7 +67,7 @@ class TestFig3:
         return FIGURES["fig3"].run()
 
     def test_four_configs(self, rows):
-        assert configs(rows) == [
+        assert [row.result.config_label for row in rows] == [
             "native",
             "covirt-none",
             "covirt-mem",
