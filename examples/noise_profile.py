@@ -7,7 +7,7 @@ like if interrupt virtualization *did* add periodic work — the negative
 result that makes Fig. 3 meaningful.
 """
 
-from repro.harness.experiments import run_fig3_selfish
+from repro.harness.figures import FIGURES, fig3_table
 from repro.hw.clock import CYCLES_PER_SECOND
 from repro.perf.sampling import DetourSampler, NoiseSource
 from repro.workloads.selfish import SelfishDetour
@@ -16,7 +16,7 @@ BINS_US = [0.5, 1.0, 2.0, 5.0, 20.0]
 
 
 def main() -> None:
-    print(run_fig3_selfish(duration_seconds=10.0).render())
+    print(fig3_table(FIGURES["fig3"].run()).render())
 
     print("\nDetour histograms (10 s run):")
     workload = SelfishDetour(duration_seconds=10.0)

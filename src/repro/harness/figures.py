@@ -118,9 +118,9 @@ class Figure:
     views: dict[str, Callable[[list], ExperimentResult]]
     claims: tuple[Claim, ...]
 
-    def run(self, quick: bool = False) -> list:
-        """The scenario on a fresh environment."""
-        return self.scenario(CovirtEnvironment(), quick)
+    def run(self) -> list:
+        """The full-mode scenario on a fresh environment."""
+        return self.scenario(CovirtEnvironment(), False)
 
     def bench_rows(self, env: CovirtEnvironment, quick: bool) -> list[dict[str, Any]]:
         """The scenario's ``results`` records for ``BENCH_<bench>.json``."""
