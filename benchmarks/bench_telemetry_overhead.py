@@ -63,12 +63,14 @@ from repro.serve.telemetry import MAX_QUEUE_FRAMES, TelemetryHub
 
 DEFAULT_SEED = 0xC0517
 
-#: Ops per timed loop.  Sized so the ``subscribed`` mode's frame volume
-#: (2 frames per op, warmup included, + hello) stays inside one
-#: maximum-size subscriber queue — the subscribed row measures tap
+#: Ops per timed loop.  Short loops are seldom preempted, and ``ROUNDS``
+#: of them per mode keep the scenario's wall time inside the runner's
+#: ``wall_seconds`` band.  The ``subscribed`` mode's frame volume (2
+#: frames per op, warmup included, + hello) stays inside one
+#: maximum-size subscriber queue, so the subscribed row measures tap
 #: cost, not drop cost.
-OPS_FULL = 6_000
-OPS_QUICK = 2_000
+OPS_FULL = 1_200
+OPS_QUICK = 400
 
 #: The slow subscriber's queue; everything beyond it must drop.
 SLOW_QUEUE = 256
@@ -92,66 +94,73 @@ def _hot_loop(obs: Observability, ops: int) -> float:
     return elapsed / ops
 
 
-def _fresh_obs() -> Observability:
-    return Observability(Clock())
+#: Timed loops per mode.  Modes interleave round by round and each mode
+#: keeps its fastest loop, so one preemption cannot move a ratio out of
+#: its tolerance band.
+ROUNDS = 5
+
+MODES = ("off", "flight", "subscribed", "slow-subscriber")
+
+#: Hub subscriber queue per subscribed mode.
+SUBSCRIBER_QUEUES = {
+    "subscribed": MAX_QUEUE_FRAMES,  # roomy: no drops, pure tap cost
+    "slow-subscriber": SLOW_QUEUE,
+}
 
 
-def measure_rows(quick: bool) -> list[dict[str, Any]]:
-    """One row per mode; ``ratio_vs_flight`` is the sentinel metric."""
-    ops = OPS_QUICK if quick else OPS_FULL
-
-    timings: dict[str, float] = {}
-    frame_stats: dict[str, dict[str, int]] = {}
-    elapsed_s: dict[str, float] = {}
-
-    # -- off: quiesced bundle, the fast path ----------------------------
-    obs = _fresh_obs()
-    obs.quiesce()
-    t0 = time.perf_counter()
-    timings["off"] = _hot_loop(obs, ops)
-    elapsed_s["off"] = time.perf_counter() - t0
-    assert len(obs.tracer) == 0, "quiesced tracer must record nothing"
-
-    # -- flight: the default serving configuration (denominator) --------
-    obs = _fresh_obs()
-    t0 = time.perf_counter()
-    timings["flight"] = _hot_loop(obs, ops)
-    elapsed_s["flight"] = time.perf_counter() - t0
-
-    # -- subscribed / slow-subscriber: a real hub tap -------------------
-    for mode, max_queue in (
-        ("subscribed", MAX_QUEUE_FRAMES),  # roomy: no drops, pure tap cost
-        ("slow-subscriber", SLOW_QUEUE),
-    ):
-        obs = _fresh_obs()
+def _time_mode(mode: str, ops: int) -> tuple[float, float, dict[str, int]]:
+    """One timed loop on a fresh bundle (and hub, for subscribed modes).
+    Returns (ns/op, elapsed seconds, frame stats)."""
+    obs = Observability(Clock())
+    hub = None
+    if mode == "off":
+        obs.quiesce()
+    elif mode in SUBSCRIBER_QUEUES:
         hub = TelemetryHub(MetricsRegistry())
-        hub.subscribe(None, max_queue=max_queue)
+        hub.subscribe(None, max_queue=SUBSCRIBER_QUEUES[mode])
         hub.attach_obs("bench", obs, tenant="bench", session_id="bench-0")
-        t0 = time.perf_counter()
-        timings[mode] = _hot_loop(obs, ops)
-        elapsed_s[mode] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    ns_per_op = _hot_loop(obs, ops)
+    elapsed = time.perf_counter() - t0
+    if mode == "off" and len(obs.tracer):
+        raise AssertionError("quiesced tracer must record nothing")
+    frames = {"frames": 0, "dropped": 0}
+    if hub is not None:
         stats = hub.unsubscribe(None)
-        frame_stats[mode] = {
+        frames = {
             "frames": stats["enqueued"] + stats["dropped"],
             "dropped": stats["dropped"],
         }
+    return ns_per_op, elapsed, frames
+
+
+def measure_rows(quick: bool) -> list[dict[str, Any]]:
+    """One row per mode; ``ratio_vs_flight`` is the sentinel metric.
+    Timing columns come from each mode's fastest round; the frame and
+    drop columns (deterministic) from the first."""
+    ops = OPS_QUICK if quick else OPS_FULL
+    best: dict[str, tuple[float, float]] = {}
+    frame_stats: dict[str, dict[str, int]] = {}
+    for _ in range(ROUNDS):
+        for mode in MODES:
+            ns_per_op, elapsed, frames = _time_mode(mode, ops)
+            frame_stats.setdefault(mode, frames)
+            if mode not in best or ns_per_op < best[mode][0]:
+                best[mode] = (ns_per_op, elapsed)
 
     rows = []
-    for mode in ("off", "flight", "subscribed", "slow-subscriber"):
-        frames = frame_stats.get(mode, {}).get("frames", 0)
-        dropped = frame_stats.get(mode, {}).get("dropped", 0)
+    for mode in MODES:
+        ns_per_op, elapsed = best[mode]
+        frames = frame_stats[mode]["frames"]
+        dropped = frame_stats[mode]["dropped"]
         rows.append(
             {
                 "mode": mode,
                 "ops": ops,
-                "ns_per_op": round(timings[mode], 1),
-                "ratio_vs_flight": round(
-                    timings[mode] / timings["flight"], 4
-                ),
+                "ns_per_op": round(ns_per_op, 1),
+                "ratio_vs_flight": round(ns_per_op / best["flight"][0], 4),
                 "frames": frames,
-                "frames_per_sec": round(frames / elapsed_s[mode], 1)
-                if frames
-                else 0.0,
+                "frames_per_sec": round(frames / elapsed, 1) if frames else 0.0,
                 "dropped": dropped,
                 "drop_rate": round(dropped / frames, 4) if frames else 0.0,
             }

@@ -10,7 +10,8 @@ A :class:`FaultDossier` is that surviving state, collected by the
 controller at termination time: the fault itself, every core's
 hypervisor counters and final register/TSC state, the EPT's shape, the
 whitelist's drop log, the tail of the co-kernel console, and the last
-commands each core serviced.
+hypervisor spans each core emitted (read off the machine's flight
+recorder, so a quiesced machine's dossier has no trace section).
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from repro.hw.memory import PAGE_SIZE, PAGE_SIZE_1G, PAGE_SIZE_2M
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.controller import EnclaveVirtContext
+    from repro.core.hypervisor import CovirtHypervisor
+
+#: Hypervisor spans kept per core in a dossier's trace tail.
+TRACE_TAIL_DEPTH = 8
 
 
 @dataclass
@@ -77,7 +82,7 @@ class FaultDossier:
                     exits_by_reason=dict(hv.counters.exits),
                     tlb_entries=len(core.tlb) if core.tlb else 0,
                     pending_commands=hv.queue.pending(),
-                    trace_tail=[r.render() for r in hv.trace.tail(8)],
+                    trace_tail=_span_tail(hv),
                 )
             )
         if ctx.ept is not None:
@@ -151,3 +156,16 @@ class FaultDossier:
                 lines += [f"  {entry}" for entry in core.trace_tail]
         lines.append("=" * 70)
         return "\n".join(lines)
+
+
+def _span_tail(hv: "CovirtHypervisor") -> list[str]:
+    """The last spans on a hypervisor's track in the flight ring, oldest
+    first, rendered as end TSC, name and sorted ``k=v`` args."""
+    tail: list[str] = []
+    for event in reversed(hv.obs.flight.tail()):
+        if event.get("track") == hv.track:
+            args = "".join(f" {k}={v}" for k, v in sorted(event["args"].items()))
+            tail.append(f"{event['end']:>14d}  {event['name']}{args}")
+            if len(tail) == TRACE_TAIL_DEPTH:
+                break
+    return tail[::-1]

@@ -43,7 +43,6 @@ from repro.hw.ioports import (
 from repro.hw.memory import OwnershipError, PAGE_SIZE
 from repro.hw.msr import MSR, MsrAccessError
 from repro.perf.counters import PerfCounters
-from repro.perf.trace import TraceKind
 from repro.pisces.enclave import EnclaveDead, EnclaveState
 from repro.pisces.kmod import PiscesError
 from repro.recovery.policy import Quarantine, RestartAlways, RestartWithBackoff
@@ -466,9 +465,7 @@ class FuzzEngine:
         try:
             self.oracles.check_all()
         except OracleViolation as violation:
-            self.env.recovery.trace.record(
-                self.env.machine.clock.now, TraceKind.ORACLE, str(violation)
-            )
+            self.env.recovery.note("oracle", str(violation))
             self.cov.observe_oracle(violation.oracle)
             if self.failure is None:
                 self.failure = {
@@ -716,9 +713,8 @@ class FuzzEngine:
         if victim is None or victim is service:
             return
         self._armed = None  # one-shot, and never recurse
-        self.env.recovery.trace.record(
-            self.env.machine.clock.now,
-            TraceKind.INJECT,
+        self.env.recovery.note(
+            "inject",
             f"mid-recovery fault into {victim.name!r} "
             f"while {service.name!r} is {phase.value}",
         )
@@ -783,8 +779,7 @@ class FuzzEngine:
             for f in env.controller.fault_log
         ]
         lines += [
-            f"rtrace {r.tsc} {r.kind.value} {r.detail}"
-            for r in env.recovery.trace.tail(env.recovery.trace.capacity)
+            f"rtrace {tsc} {kind} {detail}" for tsc, kind, detail in env.recovery.log
         ]
         lines += [
             f"pending {when} {seq} {tag}"

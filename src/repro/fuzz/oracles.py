@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.controller import covirt_owner
 from repro.hw.ioports import HOST_OWNED_PORTS
+from repro.hw.memory import OwnershipInvariantError
 from repro.hw.msr import SENSITIVE_MSRS
 from repro.pisces.enclave import EnclaveState
 from repro.pisces.resources import enclave_owner
@@ -126,7 +127,10 @@ class OraclePack:
     def _check_ownership(self, env: "CovirtEnvironment") -> None:
         """Page-ownership disjointness + conservation: the interval map
         partitions physical memory exactly (no gaps, no overlaps)."""
-        env.machine.memory.check_invariants()
+        try:
+            env.machine.memory.check_invariants()
+        except OwnershipInvariantError as exc:
+            self._fail("ownership-disjoint", str(exc))
         total = sum(
             end - start
             for start, end, _ in env.machine.memory._owners.intervals()

@@ -55,6 +55,11 @@ class OwnershipError(Exception):
     """An operation violated the physical-memory ownership discipline."""
 
 
+class OwnershipInvariantError(OwnershipError):
+    """An interval map's own structure is broken: raised by
+    :meth:`IntervalMap.check_invariants`, whatever the ``-O`` setting."""
+
+
 @dataclass(frozen=True)
 class MemoryRegion:
     """A page-aligned, contiguous range of physical memory.
@@ -197,14 +202,16 @@ class IntervalMap:
         return [(s, e) for s, e, v in self.intervals() if v == value]
 
     def check_invariants(self) -> None:
-        """Raise AssertionError if structural invariants are broken."""
-        assert self._starts[0] == self.start
-        assert self._ends[-1] == self.end
+        """Raise :class:`OwnershipInvariantError` on a broken structure."""
+        if (self._starts[0], self._ends[-1]) != (self.start, self.end):
+            raise OwnershipInvariantError("map does not span its bounds")
         for i in range(len(self._starts)):
-            assert self._starts[i] < self._ends[i], "empty interval"
-            if i:
-                assert self._ends[i - 1] == self._starts[i], "gap/overlap"
-                assert self._values[i - 1] != self._values[i], "uncoalesced"
+            if self._starts[i] >= self._ends[i]:
+                raise OwnershipInvariantError("empty interval")
+            if i and self._ends[i - 1] != self._starts[i]:
+                raise OwnershipInvariantError("gap/overlap")
+            if i and self._values[i - 1] == self._values[i]:
+                raise OwnershipInvariantError("uncoalesced")
 
 
 # -- translation extents -----------------------------------------------------

@@ -30,13 +30,13 @@ operators) can assert rejection.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.faults import CovirtFault, FaultKey, key_from_record
 from repro.core.features import CovirtConfig
 from repro.obs import metric_names
-from repro.perf.trace import EventTrace, TraceKind
 from repro.pisces.enclave import Enclave, EnclaveState, FaultRecord
 from repro.pisces.resources import ResourceSpec
 from repro.recovery.checkpoint import CheckpointManager, EnclaveCheckpoint
@@ -56,8 +56,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.machine import Machine
     from repro.linuxhost.host import LinuxHost
 
-#: Event-trace depth for the supervisor's own recovery timeline.
-SUPERVISOR_TRACE_DEPTH = 512
+#: Entries kept in the supervisor's recovery log.  Fuzz fingerprints
+#: hash the whole log, so this bound fixes the window long runs hash.
+RECOVERY_LOG_DEPTH = 512
 
 
 class RecoveryPhase(enum.Enum):
@@ -135,7 +136,9 @@ class RecoverySupervisor:
         )
         self.replayer = ReplayEngine(mcp, controller, self.costs.replay_per_command)
         self.metrics = RecoveryMetrics()
-        self.trace = EventTrace(capacity=SUPERVISOR_TRACE_DEPTH)
+        #: Recovery timeline as ``(tsc, kind, detail)``.  Simulation state
+        #: that fuzz fingerprints hash, so it is not left to ``machine.obs``.
+        self.log: deque[tuple[int, str, str]] = deque(maxlen=RECOVERY_LOG_DEPTH)
         self.services: dict[str, SupervisedService] = {}
         #: Observers fired on every phase transition, after the phase is
         #: assigned.  The fuzz engine uses this seam to inject faults
@@ -211,10 +214,7 @@ class RecoverySupervisor:
         self.services[service_name] = service
         cp = self.checkpoints.checkpoint(enclave)
         self._note_checkpoint(cp, service_name)
-        self._trace(
-            TraceKind.CHECKPOINT,
-            f"baseline gen {cp.generation} for {service_name!r}",
-        )
+        self.note("checkpoint", f"baseline gen {cp.generation} for {service_name!r}")
         return service
 
     def service_for_enclave(self, enclave_id: int) -> SupervisedService | None:
@@ -241,8 +241,8 @@ class RecoverySupervisor:
         service = self.services[name]
         cp = self.checkpoints.checkpoint(service.enclave)
         self._note_checkpoint(cp, name)
-        self._trace(
-            TraceKind.CHECKPOINT,
+        self.note(
+            "checkpoint",
             f"gen {cp.generation} for {name!r} "
             f"(dirty: {','.join(cp.dirty_sections) or 'none'})",
         )
@@ -281,8 +281,8 @@ class RecoverySupervisor:
         self._set_phase(service, RecoveryPhase.TERMINATED)
         service.history.append(key)
         service.pending_key = key
-        self._trace(
-            TraceKind.RECOVER,
+        self.note(
+            "recover",
             f"{service.name!r} down: {key.describe()} "
             f"(incarnation {service.incarnation})",
         )
@@ -292,10 +292,7 @@ class RecoverySupervisor:
             self._recover(service, key, detection_tsc, raise_on_scrub=False)
         except Exception as exc:  # recovery must never poison the fault path
             self._set_phase(service, RecoveryPhase.GIVEN_UP)
-            self._trace(
-                TraceKind.RECOVER,
-                f"{service.name!r} recovery aborted: {exc}",
-            )
+            self.note("recover", f"{service.name!r} recovery aborted: {exc}")
             self.metrics.record(
                 RecoveryRecord(
                     service=service.name,
@@ -368,7 +365,7 @@ class RecoverySupervisor:
                 num_zones=self.machine.topology.num_zones,
             )
         )
-        self._trace(TraceKind.RECOVER, f"{service.name!r}: {decision.reason}")
+        self.note("recover", f"{service.name!r}: {decision.reason}")
 
         def park(phase: RecoveryPhase, outcome: str, **extra) -> None:
             self._set_phase(service, phase)
@@ -413,8 +410,8 @@ class RecoverySupervisor:
             scrub_report = self.scrubber.scrub(old_id, old_cores)
         if not scrub_report.clean:
             self._set_phase(service, RecoveryPhase.SCRUB_FAILED)
-            self._trace(
-                TraceKind.RECOVER,
+            self.note(
+                "recover",
                 f"{service.name!r} scrub rejected relaunch: "
                 + "; ".join(scrub_report.violations),
             )
@@ -491,8 +488,8 @@ class RecoverySupervisor:
                 commands_replayed=len(replay_report.commands_replayed),
             )
         )
-        self._trace(
-            TraceKind.RECOVER,
+        self.note(
+            "recover",
             f"{service.name!r} recovered as enclave {new_enclave.enclave_id} "
             f"(incarnation {service.incarnation}, "
             f"MTTR {completion_tsc - detection_tsc} cycles)",
@@ -503,8 +500,9 @@ class RecoverySupervisor:
 
     # -- helpers ---------------------------------------------------------
 
-    def _trace(self, kind: TraceKind, detail: str) -> None:
-        self.trace.record(self.machine.clock.now, kind, detail)
+    def note(self, kind: str, detail: str) -> None:
+        """Append a ``kind`` entry, stamped now, to the recovery log."""
+        self.log.append((self.machine.clock.now, kind, detail))
 
     def _note_checkpoint(self, cp: EnclaveCheckpoint, name: str) -> None:
         """Fold one checkpoint into both metric systems: the recovery

@@ -1,5 +1,11 @@
 """Physical memory: regions, interval map, ownership, contents."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.hw.memory import (
@@ -7,6 +13,7 @@ from repro.hw.memory import (
     IntervalMap,
     MemoryRegion,
     OwnershipError,
+    OwnershipInvariantError,
     PAGE_SIZE,
     PhysicalMemory,
     page_align_down,
@@ -144,6 +151,65 @@ class TestIntervalMap:
         imap.set(20, 40, "b")
         pieces = list(imap.intervals_in(30, 50))
         assert pieces == [(30, 40, "b"), (40, 50, "a")]
+
+
+def split_first_interval(imap: IntervalMap) -> None:
+    """Cut the first interval in two equal-valued halves behind the
+    API: coverage is unchanged, only coalescing is broken."""
+    mid = (imap._starts[0] + imap._ends[0]) // 2
+    imap._starts.insert(1, mid)
+    imap._ends.insert(0, mid)
+    imap._values.insert(0, imap._values[0])
+
+
+class TestInvariants:
+    def test_broken_map_raises_typed_error(self):
+        imap = IntervalMap(0, 100, "a")
+        imap.set(20, 40, "b")
+        split_first_interval(imap)
+        with pytest.raises(OwnershipInvariantError, match="uncoalesced"):
+            imap.check_invariants()
+        imap._ends[0] -= 1
+        with pytest.raises(OwnershipInvariantError, match="gap/overlap"):
+            imap.check_invariants()
+        assert issubclass(OwnershipInvariantError, OwnershipError)
+        assert not issubclass(OwnershipInvariantError, AssertionError)
+
+    def test_oracle_catches_broken_map_under_python_O(self):
+        """The ownership-disjoint oracle does not rest on ``assert``: run
+        with ``-O``, an uncoalesced ownership map (coverage intact, so
+        the conservation check alone passes) is still a violation."""
+        script = textwrap.dedent(
+            """
+            from repro.core.features import CovirtConfig
+            from repro.fuzz.oracles import OraclePack, OracleViolation
+            from repro.harness.env import CovirtEnvironment, Layout
+            from tests.hw.test_memory import split_first_interval
+
+            assert False, "asserts must be stripped in this run"
+            env = CovirtEnvironment()
+            env.launch(
+                Layout("2c/2n", {0: 1, 1: 1}, {0: 1 << 30, 1: 1 << 30}),
+                CovirtConfig.memory_only(),
+            )
+            pack = OraclePack(env)
+            pack.check_all()
+            split_first_interval(env.machine.memory._owners)
+            try:
+                pack.check_all()
+            except OracleViolation as violation:
+                print(violation.oracle, "|", violation.detail)
+            else:
+                print("undetected")
+            """
+        )
+        root = Path(__file__).resolve().parents[2]
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root}"},
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout.strip()
+        assert out == "ownership-disjoint | uncoalesced", out
 
 
 class TestPhysicalMemory:

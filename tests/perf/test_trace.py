@@ -1,40 +1,26 @@
-"""Hypervisor event traces."""
+"""Hypervisor event tails in fault dossiers, read off the flight ring."""
 
 import pytest
 
+from repro.core.debug import TRACE_TAIL_DEPTH
 from repro.core.faults import EnclaveFaultError
 from repro.core.features import CovirtConfig
 from repro.harness.env import CovirtEnvironment, Layout
-from repro.perf.trace import EventTrace, TraceKind
 
 GiB = 1 << 30
 LAYOUT = Layout("2c/2n", {0: 1, 1: 1}, {0: GiB, 1: GiB})
 
 
-class TestEventTrace:
-    def test_records_in_order(self):
-        trace = EventTrace()
-        trace.record(10, TraceKind.LAUNCH, "go")
-        trace.record(20, TraceKind.EXIT, "cpuid")
-        assert [r.tsc for r in trace.tail()] == [10, 20]
+def crash(env, enclave):
+    """Wild read on the BSP; returns the enclave's fault dossier."""
+    bsp = enclave.assignment.core_ids[0]
+    with pytest.raises(EnclaveFaultError):
+        enclave.port.read(bsp, 50 * GiB, 8)
+    return env.controller.dossiers[enclave.enclave_id]
 
-    def test_ring_bounds_and_counts_drops(self):
-        trace = EventTrace(capacity=4)
-        for i in range(10):
-            trace.record(i, TraceKind.EXIT, str(i))
-        assert len(trace) == 4
-        assert trace.dropped == 6
-        assert [r.tsc for r in trace.tail()] == [6, 7, 8, 9]
 
-    def test_render(self):
-        trace = EventTrace()
-        trace.record(123, TraceKind.DROP, "IPI → core 2")
-        assert "drop" in trace.render_tail()
-        assert "IPI" in trace.render_tail()
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            EventTrace(capacity=0)
+def bsp_tail(dossier):
+    return next(c for c in dossier.cores if c.core_id == dossier.fault.core_id).trace_tail
 
 
 class TestHypervisorTracing:
@@ -44,40 +30,53 @@ class TestHypervisorTracing:
 
     def test_launch_recorded(self, env):
         enclave = env.launch(LAYOUT, CovirtConfig.full())
-        hv = enclave.virt_context.hypervisors[enclave.assignment.core_ids[0]]
-        kinds = [r.kind for r in hv.trace.tail()]
-        assert TraceKind.LAUNCH in kinds
+        tail = bsp_tail(crash(env, enclave))
+        assert tail[0].split()[1:] == ["hv.launch", "entry_point=0x50000"]
+        assert tail[-1].split()[1:] == [
+            "hv.exit.ept_violation",
+            f"enclave={enclave.enclave_id}",
+        ]
 
     def test_exit_and_drop_recorded(self, env):
         enclave = env.launch(LAYOUT, CovirtConfig.memory_ipi())
         bsp = enclave.assignment.core_ids[0]
         enclave.port.send_ipi(bsp, 0, 199)  # dropped
-        hv = enclave.virt_context.hypervisors[bsp]
-        kinds = [r.kind for r in hv.trace.tail()]
-        assert TraceKind.EXIT in kinds
-        assert TraceKind.DROP in kinds
+        dossier = crash(env, enclave)
+        assert any("hv.exit.apic_write" in line for line in bsp_tail(dossier))
+        report = dossier.render()
+        assert "dropped IPIs (1):" in report
+        assert "vector 199" in report
 
     def test_posted_delivery_recorded(self, env):
         enclave = env.launch(LAYOUT, CovirtConfig.memory_ipi())
         env.mcp.channels[enclave.enclave_id].host_send("ping", None)
         bsp = enclave.assignment.core_ids[0]
         hv = enclave.virt_context.hypervisors[bsp]
-        assert any(r.kind is TraceKind.POSTED for r in hv.trace.tail())
+        # Exit-free deliveries emit no span; the counters keep them.
+        assert hv.counters.posted_deliveries > 0
 
     def test_trace_tail_lands_in_dossier(self, env):
         enclave = env.launch(LAYOUT, CovirtConfig.memory_only())
-        bsp = enclave.assignment.core_ids[0]
-        with pytest.raises(EnclaveFaultError):
-            enclave.port.read(bsp, 50 * GiB, 8)
-        report = env.controller.dossiers[enclave.enclave_id].render()
-        assert "hypervisor trace" in report
-        assert "terminate" in report
+        dossier = crash(env, enclave)
+        report = dossier.render()
+        assert f"hypervisor trace, core {dossier.fault.core_id} (tail):" in report
+        assert "hv.exit.ept_violation" in report
 
     def test_timestamps_monotone(self, env):
         enclave = env.launch(LAYOUT, CovirtConfig.full())
         bsp = enclave.assignment.core_ids[0]
         for _ in range(5):
             enclave.port.cpuid(bsp, 0)
-        hv = enclave.virt_context.hypervisors[bsp]
-        stamps = [r.tsc for r in hv.trace.tail(32)]
+        tail = bsp_tail(crash(env, enclave))
+        assert len(tail) == TRACE_TAIL_DEPTH
+        stamps = [int(line.split()[0]) for line in tail]
         assert stamps == sorted(stamps)
+
+    def test_quiesced_dossier_has_no_trace_section(self, env):
+        env.machine.obs.quiesce()
+        enclave = env.launch(LAYOUT, CovirtConfig.full())
+        dossier = crash(env, enclave)
+        assert all(core.trace_tail == [] for core in dossier.cores)
+        report = dossier.render()
+        assert "hypervisor trace" not in report
+        assert "ept_violation" in report  # the fault header still names it

@@ -12,8 +12,7 @@ from repro.recovery.policy import (
     RestartAlways,
     RestartWithBackoff,
 )
-from repro.recovery.supervisor import RecoveryPhase
-from repro.perf.trace import TraceKind
+from repro.recovery.supervisor import RECOVERY_LOG_DEPTH, RecoveryPhase
 
 GiB = 1 << 30
 
@@ -78,12 +77,22 @@ class TestStateMachine:
             small_layout, CovirtConfig.full(), RestartAlways(), name="svc"
         )
         crash(svc.enclave)
-        records = env.recovery.trace.tail(env.recovery.trace.capacity)
-        kinds = [r.kind for r in records]
-        assert TraceKind.RECOVER in kinds
-        assert TraceKind.CHECKPOINT in kinds
-        details = " ".join(r.detail for r in records)
+        kinds = {kind for _, kind, _ in env.recovery.log}
+        assert {"recover", "checkpoint"} <= kinds
+        details = " ".join(detail for _, _, detail in env.recovery.log)
         assert "recovered as enclave" in details
+
+    def test_log_keeps_last_notes(self, env):
+        total = RECOVERY_LOG_DEPTH + 100
+        for i in range(total):
+            env.machine.clock.advance(1)
+            env.recovery.note("test", str(i))
+        assert len(env.recovery.log) == RECOVERY_LOG_DEPTH
+        assert [detail for _, _, detail in env.recovery.log] == [
+            str(i) for i in range(total - RECOVERY_LOG_DEPTH, total)
+        ]
+        stamps = [tsc for tsc, _, _ in env.recovery.log]
+        assert stamps == sorted(stamps) and stamps[-1] == env.machine.clock.now
 
 
 class TestGiveUp:
